@@ -794,7 +794,8 @@ def _cmd_bench(args) -> int:
         else:
             print(f"{name}: ok  {stats}")
             if args.update:
-                baseline.write_baseline(measured, args.dir)
+                baseline.write_baseline(baseline.ratchet(measured, stored),
+                                        args.dir)
     return exit_code
 
 
@@ -1210,8 +1211,9 @@ def main(argv=None) -> int:
                          help="instruction budget for the simulation "
                               "scenarios (default 400,000)")
     p_bench.add_argument("--update", action="store_true",
-                         help="with --check: rewrite the baseline after a "
-                              "passing comparison")
+                         help="with --check: after a passing comparison, "
+                              "store the better of the stored and measured "
+                              "value of each gated metric")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_trace = sub.add_parser(

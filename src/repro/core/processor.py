@@ -84,6 +84,10 @@ class Processor:
         if len(streams) != config.n_contexts:
             raise ValueError("one instruction stream per hardware context required")
         self.config = config
+        #: Derived config values read per instruction, bound once
+        #: (CPUConfig is frozen; both are properties that compute).
+        self._decode_delay = config.decode_delay
+        self._inflight_limit = config.inflight_limit
         self.hierarchy = hierarchy
         self.stats = stats
         self.rng = rng
@@ -278,13 +282,14 @@ class Processor:
         issued_int = issued_ls = issued_sync = issued_fp = 0
         hierarchy = self.hierarchy
         resolves = self._resolves
+        decode_delay = self._decode_delay
 
         remaining_int: list[tuple[int, Instruction]] = []
         for entry in self.int_queue:
             tag, instr = entry
             if instr.seq != tag or instr.state != ST_QUEUED:
                 continue  # stale (squashed or replayed-and-readmitted)
-            if issued_int >= cfg.int_units or instr.fetch_cycle + cfg.decode_delay > now:
+            if issued_int >= cfg.int_units or instr.fetch_cycle + decode_delay > now:
                 remaining_int.append(entry)
                 continue
             producer = instr.producer
@@ -337,7 +342,7 @@ class Processor:
                 tag, instr = entry
                 if instr.seq != tag or instr.state != ST_QUEUED:
                     continue
-                if issued_fp >= cfg.fp_units or instr.fetch_cycle + cfg.decode_delay > now:
+                if issued_fp >= cfg.fp_units or instr.fetch_cycle + decode_delay > now:
                     remaining_fp.append(entry)
                     continue
                 producer = instr.producer
@@ -367,8 +372,8 @@ class Processor:
         stats = self.stats
         eligible = [c for c in self.contexts if c.blocked_until <= now]
         stats.fetchable_context_sum += len(eligible)
-        if not eligible or self.inflight >= cfg.inflight_limit:
-            if self.inflight >= cfg.inflight_limit:
+        if not eligible or self.inflight >= self._inflight_limit:
+            if self.inflight >= self._inflight_limit:
                 stats.inflight_limit_stalls += 1
             stats.zero_fetch_cycles += 1
             return
@@ -416,9 +421,10 @@ class Processor:
         cfg = self.config
         unit = self.branch_unit
         hierarchy = self.hierarchy
+        limit = self._inflight_limit
         fetched = 0
         while fetched < slots:
-            if self.inflight >= cfg.inflight_limit:
+            if self.inflight >= limit:
                 return fetched, True
             instr = ctx.fetch_buffer
             if instr is not None:

@@ -20,13 +20,23 @@ transfers stay inside the segment.  The kernel model uses one segment per OS
 service, which reproduces the paper's locality contrast: SPECInt kernel time
 concentrates in the TLB-refill segment (good I-cache locality) while Apache
 spreads across many services (poor locality).
+
+The static arrays of a model are an immutable *image* (tuples, a read-only
+segment map, frozen segments) built once per process per config and shared
+by every model of that config; the indirect-jump cursor, the only state
+walkers mutate, belongs to each model instance.  On short runs generation
+was most of the set-up cost -- about half of a 10k-instruction specint run
+-- and sweeps build the same kernel and program images over and over.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.mix import BASE_LATENCY, InstructionMix
@@ -101,7 +111,7 @@ class CodeModelConfig:
             raise ValueError("code model needs at least one segment")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Segment:
     """Resolved segment: block index range plus hot sub-range."""
 
@@ -141,131 +151,208 @@ class _Stratifier:
         return self._items[best]
 
 
+#: The 48 distinct body slots ``(itype, dep, phys)``.  Bodies hold these
+#: shared tuples instead of one fresh triple per static instruction.
+_SLOTS = {
+    (itype, dep, phys): (itype, dep, phys)
+    for itype in InstrType for dep in (False, True) for phys in (False, True)
+}
+
+class _Image(NamedTuple):
+    """The static, immutable part of a built code model."""
+
+    segments: Mapping[str, _Segment]
+    block_pc: tuple[int, ...]
+    block_body: tuple[tuple[tuple[InstrType, bool, bool], ...], ...]
+    term_type: tuple[int, ...]
+    taken_prob: tuple[float, ...]
+    target: tuple[int, ...]
+    indirect_targets: tuple[tuple[int, ...], ...]
+    fallthrough: tuple[int, ...]
+    text_bytes: int
+
+
+#: Images built in this process, keyed by ``repr(config)`` (the config holds
+#: a dict, so it is not hashable; its repr spells out every field).  The
+#: canonical runs of one seed share their kernel images across workloads and
+#: their program images across cpu/os modes, so a worker that executes
+#: several of them generates each image once.  Oldest entries go first.
+_IMAGE_CACHE: dict[str, _Image] = {}
+_IMAGE_CACHE_CAP = 32
+
+
+def _image(config: CodeModelConfig) -> _Image:
+    """The image of *config*: cached, or built and cached."""
+    key = repr(config)
+    image = _IMAGE_CACHE.get(key)
+    if image is None:
+        image = _build(config)
+        if len(_IMAGE_CACHE) >= _IMAGE_CACHE_CAP:
+            del _IMAGE_CACHE[next(iter(_IMAGE_CACHE))]
+        _IMAGE_CACHE[key] = image
+    return image
+
+
+def _build(cfg: CodeModelConfig) -> _Image:
+    """Generate the image of *cfg* from its seeded RNG."""
+    rng = random.Random((cfg.seed ^ zlib.crc32(cfg.name.encode())) & 0xFFFFFFFF)
+    mix = cfg.mix
+    profile = mix.branches
+
+    segments: dict[str, _Segment] = {}
+    n_total = sum(s.n_blocks for s in cfg.segments)
+
+    # Per-block static data.
+    block_pc: list[int] = [0] * n_total
+    block_body: list[tuple[tuple[InstrType, bool, bool], ...]] = [()] * n_total
+    term_type: list[int] = [0] * n_total
+    taken_prob: list[float] = [0.0] * n_total
+    target: list[int] = [0] * n_total
+    indirect_targets: list[tuple[int, ...]] = [()] * n_total
+    fallthrough: list[int] = [0] * n_total
+
+    # Solve the bimodal mixture weight for the target taken rate.
+    want = min(max(profile.cond_taken, _LO_BIAS), _HI_BIAS)
+    loop_frac = (want - _LO_BIAS) / (_HI_BIAS - _LO_BIAS)
+
+    # Stratified assignment (Bresenham-style credit counters) for body
+    # categories, terminator types, and conditional-branch biases.  A
+    # walker visits only a segment's hot prefix, so the *composition of
+    # every contiguous block window* must match the target mix; random
+    # i.i.d. draws leave small, heavily-executed segments with wildly
+    # skewed dynamic mixes (a 15-block TLB-refill handler could come out
+    # all-loads or all-taken by chance).
+    body_strat = _Stratifier(mix.body_weights(), rng)
+    term_strat = _Stratifier(
+        [
+            (TERM_UNCOND, profile.uncond),
+            (TERM_INDIRECT, profile.indirect),
+            (TERM_CALL, profile.call),
+            (TERM_RETURN, profile.ret),
+            (TERM_COND, profile.cond),
+        ],
+        rng,
+    )
+    bias_strat = _Stratifier([(True, loop_frac), (False, 1.0 - loop_frac)], rng)
+
+    # The body loop runs once per static instruction, so body_strat.next()
+    # is inlined below (same float operations, same strict-> first-index
+    # tie-break) and everything it reads is bound to locals.  Per body
+    # item: its dep probability, whether it draws a phys flag, and its
+    # four interned slots indexed by 2 * dep + phys.
+    credits = body_strat._credits
+    weights = body_strat._weights
+    rest = range(1, len(credits))
+    dep_probs = [mix.dep_prob.get(item, 0.3) for item in body_strat._items]
+    is_mem = [item in (InstrType.LOAD, InstrType.STORE, InstrType.SYNC)
+              for item in body_strat._items]
+    slots = [
+        (_SLOTS[item, False, False], _SLOTS[item, False, True],
+         _SLOTS[item, True, False], _SLOTS[item, True, True])
+        for item in body_strat._items
+    ]
+    random_ = rng.random
+    gauss = rng.gauss
+    mean_len = mix.mean_block_len
+    sigma = mean_len * 0.25
+    phys_frac = mix.phys_frac
+
+    pc = cfg.base_pc
+    start = 0
+    for spec in cfg.segments:
+        seg = _Segment(spec.name, start, start + spec.n_blocks, start + spec.hot_blocks)
+        segments[spec.name] = seg
+        start = seg.end
+
+    for seg in segments.values():
+        for b in range(seg.start, seg.end):
+            length = max(3, round(gauss(mean_len, sigma)))
+            body = []
+            for _ in range(length - 1):
+                best = 0
+                top = credits[0] + weights[0]
+                credits[0] = top
+                for i in rest:
+                    c = credits[i] + weights[i]
+                    credits[i] = c
+                    if c > top:
+                        best = i
+                        top = c
+                credits[best] = top - 1.0
+                dep = random_() < dep_probs[best]
+                phys = is_mem[best] and random_() < phys_frac
+                body.append(slots[best][2 * dep + phys])
+            block_pc[b] = pc
+            block_body[b] = tuple(body)
+            pc += length * 4
+
+            term = term_strat.next()
+            term_type[b] = term
+            fallthrough[b] = b + 1 if b + 1 < seg.end else seg.start
+            if term == TERM_COND:
+                is_loopy = bias_strat.next()
+                prob = (
+                    rng.uniform(_HI_BIAS - 0.03, _HI_BIAS + 0.03)
+                    if is_loopy
+                    else rng.uniform(_LO_BIAS - 0.04, _LO_BIAS + 0.06)
+                )
+                taken_prob[b] = min(0.99, max(0.01, prob))
+                target[b] = _pick_target(cfg, rng, seg, b)
+            elif term == TERM_UNCOND:
+                target[b] = _pick_target(cfg, rng, seg, b)
+            elif term == TERM_INDIRECT:
+                k = max(1, profile.indirect_targets)
+                indirect_targets[b] = tuple(
+                    _pick_target(cfg, rng, seg, b) for _ in range(k)
+                )
+            elif term == TERM_CALL:
+                target[b] = _pick_target(cfg, rng, seg, b)
+            # TERM_RETURN needs no target: the walker's call stack decides.
+
+    return _Image(
+        MappingProxyType(segments), tuple(block_pc), tuple(block_body),
+        tuple(term_type), tuple(taken_prob), tuple(target),
+        tuple(indirect_targets), tuple(fallthrough), pc - cfg.base_pc,
+    )
+
+
+def _pick_target(cfg: CodeModelConfig, rng: random.Random, seg: _Segment,
+                 block: int) -> int:
+    """Choose a branch target inside *seg* with hot/cold structure."""
+    in_hot = block < seg.hot_end
+    hot_n = seg.hot_end - seg.start
+    cold_n = seg.end - seg.hot_end
+    if in_hot:
+        if cold_n and rng.random() < cfg.cold_excursion:
+            return rng.randrange(seg.hot_end, seg.end)
+        # Uniform target over the hot set: the resulting
+        # random walk visits hot blocks near-uniformly, which keeps the
+        # dynamic instruction mix close to the static one.
+        return rng.randrange(seg.start, seg.hot_end)
+    # Cold block: usually head back toward the hot set.
+    if hot_n and rng.random() < cfg.return_to_hot:
+        return rng.randrange(seg.start, seg.hot_end)
+    if cold_n:
+        return rng.randrange(seg.hot_end, seg.end)
+    return rng.randrange(seg.start, seg.hot_end)
+
+
 class CodeModel:
-    """A built synthetic text segment (see module docstring)."""
+    """A built synthetic text segment (see module docstring).
+
+    The static arrays are the shared, immutable image of the config; only
+    ``indirect_cursor`` changes while walkers run, and every model instance
+    gets its own.
+    """
 
     def __init__(self, config: CodeModelConfig) -> None:
         self.config = config
         self.name = config.name
-        rng = random.Random((config.seed ^ zlib.crc32(config.name.encode())) & 0xFFFFFFFF)
-        self._build(rng)
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self, rng: random.Random) -> None:
-        cfg = self.config
-        mix = cfg.mix
-        profile = mix.branches
-
-        self.segments: dict[str, _Segment] = {}
-        n_total = sum(s.n_blocks for s in cfg.segments)
-        self.n_blocks = n_total
-
-        # Per-block static data.
-        self.block_pc: list[int] = [0] * n_total
-        self.block_body: list[tuple[tuple[InstrType, bool, bool], ...]] = [()] * n_total
-        self.term_type: list[int] = [0] * n_total
-        self.taken_prob: list[float] = [0.0] * n_total
-        self.target: list[int] = [0] * n_total
-        self.indirect_targets: list[tuple[int, ...]] = [()] * n_total
-        self.indirect_cursor: list[int] = [0] * n_total  # mutable run-time state
-        self.fallthrough: list[int] = [0] * n_total
-
-        # Solve the bimodal mixture weight for the target taken rate.
-        want = min(max(profile.cond_taken, _LO_BIAS), _HI_BIAS)
-        loop_frac = (want - _LO_BIAS) / (_HI_BIAS - _LO_BIAS)
-
-        # Stratified assignment (Bresenham-style credit counters) for body
-        # categories, terminator types, and conditional-branch biases.  A
-        # walker visits only a segment's hot prefix, so the *composition of
-        # every contiguous block window* must match the target mix; random
-        # i.i.d. draws leave small, heavily-executed segments with wildly
-        # skewed dynamic mixes (a 15-block TLB-refill handler could come out
-        # all-loads or all-taken by chance).
-        body_strat = _Stratifier(mix.body_weights(), rng)
-        term_strat = _Stratifier(
-            [
-                (TERM_UNCOND, profile.uncond),
-                (TERM_INDIRECT, profile.indirect),
-                (TERM_CALL, profile.call),
-                (TERM_RETURN, profile.ret),
-                (TERM_COND, profile.cond),
-            ],
-            rng,
-        )
-        bias_strat = _Stratifier([(True, loop_frac), (False, 1.0 - loop_frac)], rng)
-
-        mean_len = mix.mean_block_len
-        dep_prob = mix.dep_prob
-        phys_frac = mix.phys_frac
-
-        pc = cfg.base_pc
-        start = 0
-        for spec in cfg.segments:
-            seg = _Segment(spec.name, start, start + spec.n_blocks, start + spec.hot_blocks)
-            self.segments[spec.name] = seg
-            start = seg.end
-
-        for seg in self.segments.values():
-            for b in range(seg.start, seg.end):
-                length = max(3, round(rng.gauss(mean_len, mean_len * 0.25)))
-                body = []
-                for _ in range(length - 1):
-                    itype = body_strat.next()
-                    dep = rng.random() < dep_prob.get(itype, 0.3)
-                    phys = (
-                        itype in (InstrType.LOAD, InstrType.STORE, InstrType.SYNC)
-                        and rng.random() < phys_frac
-                    )
-                    body.append((itype, dep, phys))
-                self.block_pc[b] = pc
-                self.block_body[b] = tuple(body)
-                pc += length * 4
-
-                term = term_strat.next()
-                self.term_type[b] = term
-                self.fallthrough[b] = b + 1 if b + 1 < seg.end else seg.start
-                if term == TERM_COND:
-                    is_loopy = bias_strat.next()
-                    self.taken_prob[b] = (
-                        rng.uniform(_HI_BIAS - 0.03, _HI_BIAS + 0.03)
-                        if is_loopy
-                        else rng.uniform(_LO_BIAS - 0.04, _LO_BIAS + 0.06)
-                    )
-                    self.taken_prob[b] = min(0.99, max(0.01, self.taken_prob[b]))
-                    self.target[b] = self._pick_target(rng, seg, b)
-                elif term == TERM_UNCOND:
-                    self.target[b] = self._pick_target(rng, seg, b)
-                elif term == TERM_INDIRECT:
-                    k = max(1, profile.indirect_targets)
-                    self.indirect_targets[b] = tuple(
-                        self._pick_target(rng, seg, b) for _ in range(k)
-                    )
-                elif term == TERM_CALL:
-                    self.target[b] = self._pick_target(rng, seg, b)
-                # TERM_RETURN needs no target: the walker's call stack decides.
-
-        self.text_bytes = pc - cfg.base_pc
-
-    def _pick_target(self, rng: random.Random, seg: _Segment, block: int) -> int:
-        """Choose a branch target inside *seg* with hot/cold structure."""
-        cfg = self.config
-        in_hot = block < seg.hot_end
-        hot_n = seg.hot_end - seg.start
-        cold_n = seg.end - seg.hot_end
-        if in_hot:
-            if cold_n and rng.random() < cfg.cold_excursion:
-                return rng.randrange(seg.hot_end, seg.end)
-            # Uniform target over the hot set: the resulting
-            # random walk visits hot blocks near-uniformly, which keeps the
-            # dynamic instruction mix close to the static one.
-            return rng.randrange(seg.start, seg.hot_end)
-        # Cold block: usually head back toward the hot set.
-        if hot_n and rng.random() < cfg.return_to_hot:
-            return rng.randrange(seg.start, seg.hot_end)
-        if cold_n:
-            return rng.randrange(seg.hot_end, seg.end)
-        return rng.randrange(seg.start, seg.hot_end)
+        (self.segments, self.block_pc, self.block_body, self.term_type,
+         self.taken_prob, self.target, self.indirect_targets,
+         self.fallthrough, self.text_bytes) = _image(config)
+        self.n_blocks = len(self.block_pc)
+        self.indirect_cursor: list[int] = [0] * self.n_blocks
 
     # -- queries -----------------------------------------------------------
 

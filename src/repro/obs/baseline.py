@@ -23,7 +23,10 @@ Scenarios:
 ``repro bench --check`` re-measures and compares against the committed
 baseline with a configurable noise band (host timings on shared machines
 jitter; the default tolerance is deliberately generous), exiting nonzero
-on regression -- the CI perf gate.  Simulated counters are compared too,
+on regression -- the CI perf gate.  ``--update`` then stores the better
+of the stored and measured value of each gated metric (:func:`ratchet`),
+so a run of slower-but-passing measurements cannot walk the baseline
+down one band at a time.  Simulated counters are compared too,
 but only *reported*: a cycle-count change means simulator behavior
 changed (which a code change may fully intend), not that it got slower.
 """
@@ -253,6 +256,32 @@ def load_baseline(scenario: str,
     return payload if isinstance(payload, dict) else None
 
 
+def _gates(measured: dict, baseline: dict) -> list[tuple[str, str]]:
+    """The host metrics gated between *measured* and *baseline*, each with
+    the direction that counts as worse."""
+    gates = list(_GATE_METRICS)
+    if ("ips" not in baseline.get("host", {})
+            and measured.get("instructions") == baseline.get("instructions")):
+        # The report scenario has no rate metric; gate wall-clock directly
+        # (comparable because the workload is identical).
+        gates.append(("wall_s", "higher"))
+    return gates
+
+
+def ratchet(measured: dict, baseline: dict) -> dict:
+    """The baseline to store after *measured* passed against *baseline*:
+    *measured*, but with every gated host metric at the better of the two
+    values.  A stored baseline therefore only ever tightens."""
+    host = dict(measured.get("host", {}))
+    b_host = baseline.get("host", {})
+    for metric, bad_direction in _gates(measured, baseline):
+        was, now = b_host.get(metric), host.get(metric)
+        if not was or now is None:  # as check(): nothing to gate against
+            continue
+        host[metric] = max(was, now) if bad_direction == "lower" else min(was, now)
+    return dict(measured, host=host)
+
+
 def check(measured: dict, baseline: dict,
           tolerance: float = DEFAULT_TOLERANCE) -> tuple[list[str], list[str]]:
     """Compare a fresh measurement against a stored baseline.
@@ -267,12 +296,7 @@ def check(measured: dict, baseline: dict,
     m_host = measured.get("host", {})
     b_host = baseline.get("host", {})
     same_budget = measured.get("instructions") == baseline.get("instructions")
-    gates = list(_GATE_METRICS)
-    if "ips" not in b_host and same_budget:
-        # The report scenario has no rate metric; gate wall-clock directly
-        # (comparable because the workload is identical).
-        gates.append(("wall_s", "higher"))
-    for metric, bad_direction in gates:
+    for metric, bad_direction in _gates(measured, baseline):
         was = b_host.get(metric)
         now = m_host.get(metric)
         if not was or now is None:

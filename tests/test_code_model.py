@@ -1,11 +1,13 @@
 """Tests for synthetic code models and walkers."""
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.isa import code
 from repro.isa.code import (
     CodeModel,
     CodeModelConfig,
@@ -190,3 +192,140 @@ def test_any_model_walks_without_error(n_blocks, hot, seed):
     for _ in range(300):
         instr = walker.next_instruction()
         assert instr.pc >= 0x1000_0000
+
+
+# -- golden images -----------------------------------------------------------
+
+def _image_digest(model):
+    """sha256 over a model's static arrays (everything a walker reads)."""
+    static = (
+        [(s.name, s.start, s.end, s.hot_end) for s in model.segments.values()],
+        list(model.block_pc),
+        [[(t.name, d, p) for t, d, p in body] for body in model.block_body],
+        list(model.term_type),
+        [repr(p) for p in model.taken_prob],
+        list(model.target),
+        [list(t) for t in model.indirect_targets],
+        list(model.fallthrough),
+        model.text_bytes,
+    )
+    return hashlib.sha256(repr(static).encode()).hexdigest()
+
+
+#: Digests of the images the canonical workloads build, per simulator seed.
+#: They pin the generator's RNG draw order and stratifier tie-break: any
+#: change to either changes every simulated result.
+GOLDEN_IMAGES = {
+    ("specint", 11): {
+        "kernel": "b6275cf7d037fe0b80669081260bd624d379efc101ed1dfe27d15f83ade6a510",
+        "kcopy": "523bd88228bb6e4a2ebfe9b16681795371e91e85ba060bfb4a4f76fbd5d42db2",
+        "pal": "ac72cb510adb9d93763e41f1d9d733ac5e66a15dc0529755dab1a2b6c643d31b",
+        "specint:gcc": "0d4139abd9ed1201831ac25745d43993395b69b8b8bd8936a29fcc22f11e23b2",
+    },
+    ("apache", 11): {
+        "apache": "d55f56cc4ca2a0382b7051e60c4c8b2310393c46c9f620f3fafe80c8d5c10405",
+    },
+    ("specint", 29): {
+        "kernel": "ed9c1a71335891548455727f9e7417682dab1fdfecbe743709581648b432d690",
+        "kcopy": "650fc1f611c7362099c3168bb8708f831cc06b991de275940aed6339df843f51",
+        "pal": "23a6b51b6da70c4669c226bc35d6d9a303527c6a8b0eba377eab1d93b46cff88",
+        "specint:gcc": "d9ab931d87aaa3f0427bb5b33cc200bcc836c4cc5d63396573f57572e30f882b",
+    },
+    ("apache", 29): {
+        "apache": "7a8ec341445a949f21b0e497519c173d6870403d0b8754349410629324212ae2",
+    },
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(GOLDEN_IMAGES))
+def test_generated_images_match_golden_digests(workload, seed):
+    from repro.analysis.experiments import build_simulation
+
+    code._IMAGE_CACHE.clear()  # pin the generator, not a cached image
+    sim = build_simulation(workload, "smt", "full", seed=seed)
+    models = {m.name: m for m in (sim.os.kernel_text, sim.os.copy_text,
+                                  sim.os.pal_text)}
+    for thread in sim.workload.threads:
+        if thread.user_walker is not None:
+            models.setdefault(thread.user_walker.model.name,
+                              thread.user_walker.model)
+    got = {name: _image_digest(models[name])
+           for name in GOLDEN_IMAGES[(workload, seed)]}
+    assert got == GOLDEN_IMAGES[(workload, seed)]
+
+
+class _ConstantRandom(random.Random):
+    """An RNG whose draws are all mid-range: equal stratifier weights then
+    start with equal credits, so every body draw meets exact ties."""
+
+    def random(self):
+        return 0.5
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return mu
+
+
+def test_body_slots_break_credit_ties_toward_the_first_item(monkeypatch):
+    monkeypatch.setattr(code.random, "Random", _ConstantRandom)
+    monkeypatch.setattr(code, "_IMAGE_CACHE", {})
+    # Exact binary fractions: load, store and int_alu weigh exactly alike.
+    mix = InstructionMix(load=0.25, store=0.25, branch=0.25, fp=0.0)
+    model = CodeModel(CodeModelConfig(
+        "ties", 0x1000_0000, mix, segments=(SegmentSpec("main", 4, 2),)))
+    got = [itype for body in model.block_body for itype, _, _ in body]
+    assert got[:3] == [InstrType.LOAD, InstrType.STORE, InstrType.INT_ALU]
+    reference = code._Stratifier(mix.body_weights(), _ConstantRandom())
+    assert got == [reference.next() for _ in got]
+
+
+# -- the per-process image cache ---------------------------------------------
+
+def test_equal_configs_share_the_image_but_not_the_cursor():
+    a, b = build_model(seed=21), build_model(seed=21)
+    for name in ("segments", "block_pc", "block_body", "term_type",
+                 "taken_prob", "target", "indirect_targets", "fallthrough"):
+        assert getattr(a, name) is getattr(b, name)
+    assert a.indirect_cursor == b.indirect_cursor
+    assert a.indirect_cursor is not b.indirect_cursor
+
+
+def test_images_are_immutable():
+    model = build_model(seed=22)
+    for name in ("block_pc", "block_body", "term_type", "taken_prob",
+                 "target", "indirect_targets", "fallthrough"):
+        assert isinstance(getattr(model, name), tuple)
+    with pytest.raises(TypeError):
+        model.segments["extra"] = model.segments["main"]
+    with pytest.raises(AttributeError):
+        model.segments["main"].start = 5
+
+
+def test_image_cache_is_bounded():
+    cap = code._IMAGE_CACHE_CAP
+    models = [build_model(seed=1000 + s, n_blocks=10, hot=2)
+              for s in range(cap + 5)]
+    assert len(code._IMAGE_CACHE) == cap
+    # Oldest out first: the newest image is still shared, the first rebuilt.
+    assert build_model(seed=1000 + cap + 4, n_blocks=10,
+                       hot=2).block_body is models[-1].block_body
+    assert build_model(seed=1000, n_blocks=10,
+                       hot=2).block_body is not models[0].block_body
+
+
+def test_rebuilt_simulation_replays_a_first_build():
+    """A simulation built from cached images after an identical one has
+    already run (and moved its indirect-jump cursors) must replay the
+    first build exactly."""
+    from repro.analysis.artifact import canonical_json
+    from repro.analysis.experiments import build_simulation
+    from repro.analysis.snapshot import capture
+
+    def run():
+        sim = build_simulation("apache", "smt", "full", seed=31)
+        sim.run(max_instructions=4_000)
+        return sim, canonical_json(capture(sim)["probes"])
+
+    code._IMAGE_CACHE.clear()
+    first_sim, first = run()
+    assert any(first_sim.os.kernel_text.indirect_cursor)
+    assert run()[1] == first

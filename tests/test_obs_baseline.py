@@ -152,6 +152,40 @@ def test_cli_bench_update_rewrites_on_pass(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_bench_update_never_lowers_the_ips_baseline(tmp_path, capsys):
+    """A slower measurement that still passes the band must not become the
+    new baseline: --update keeps the stored (faster) ips."""
+    args = ["bench", "specint", "--instructions", str(BUDGET),
+            "--dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    path = baseline.baseline_path("specint", tmp_path)
+    payload = json.loads(path.read_text())
+    # The re-measurement below comes in far slower than this, yet passes
+    # the wide band (tiny budgets time too noisily for a narrow one).
+    fast = payload["host"]["ips"] * 10
+    payload["host"]["ips"] = fast
+    path.write_text(json.dumps(payload))
+    assert cli.main(args + ["--check", "--update", "--tolerance", "5.0"]) == 0
+    assert ": ok" in capsys.readouterr().out
+    assert baseline.load_baseline("specint", tmp_path)["host"]["ips"] == fast
+
+
+def test_ratchet_keeps_the_better_value_of_each_gated_metric():
+    stored = {"instructions": 10, "host": {"ips": 100.0, "max_rss_kb": 500,
+                                           "wall_s": 1.0}}
+    slower = {"instructions": 10, "host": {"ips": 90.0, "max_rss_kb": 550,
+                                           "wall_s": 1.1}}
+    faster = {"instructions": 10, "host": {"ips": 120.0, "max_rss_kb": 450,
+                                           "wall_s": 0.8}}
+    assert baseline.ratchet(slower, stored)["host"] == {
+        "ips": 100.0, "max_rss_kb": 500, "wall_s": 1.1}
+    assert baseline.ratchet(faster, stored)["host"] == faster["host"]
+    # The report scenario gates wall-clock instead of a rate.
+    report = {"host": {"wall_s": 2.0}}
+    assert baseline.ratchet({"host": {"wall_s": 2.5}}, report)["host"] == {
+        "wall_s": 2.0}
+
+
 def test_cli_bench_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit, match="unknown scenario"):
         cli.main(["bench", "quake3", "--dir", str(tmp_path)])
